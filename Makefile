@@ -13,9 +13,9 @@ test:
 # (CI installs it; see .github/workflows/ci.yml) test-fast collects
 # line coverage and enforces the floors in tools/check_coverage.py
 # (>=85% on src/repro/serve/, src/repro/attacks/ and
-# src/repro/conformance/, per-module floors on serve/bus.py and
-# serve/recalibrate.py, never below tools/coverage_baseline.json
-# for the rest).  Without pytest-cov the suite runs uninstrumented.
+# src/repro/conformance/, per-module floors on serve/bus.py,
+# serve/recalibrate.py, hw/memometer.py and sim/kernel/footprint.py,
+# never below tools/coverage_baseline.json for the rest).  Without pytest-cov the suite runs uninstrumented.
 COVFLAGS := $(shell $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1 \
     && echo "--cov=src/repro --cov-report=html:htmlcov --cov-report=json:coverage.json")
 

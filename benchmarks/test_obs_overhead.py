@@ -7,7 +7,9 @@ the hot snoop datapath pays a handful of bound-method calls per
 number: driving one million snooped accesses through
 ``Memometer.observe_burst`` must cost at most 5% more than a
 hand-inlined copy of the same datapath with every instrument call
-deleted.
+deleted.  The same budget holds for ``Memometer.observe_footprint``,
+the cell-domain path ``repro serve`` runs, over the synthetic kernel's
+real service footprints.
 
 Run directly (no session-scoped training involved)::
 
@@ -22,6 +24,8 @@ import numpy as np
 
 from repro import obs
 from repro.hw.memometer import COUNTER_MAX, ControlRegisters, Memometer
+from repro.sim.kernel.layout import KERNEL_TEXT_BASE, KERNEL_TEXT_SIZE, default_layout
+from repro.sim.kernel.syscalls import build_default_services
 from repro.sim.trace import AccessBurst
 
 BURSTS = 1_000
@@ -35,6 +39,15 @@ REGISTERS = ControlRegisters(
     granularity=2048,
     interval_ns=10_000_000,
 )
+
+#: The paper's monitored region (Figure 1), for the footprint path.
+PAPER_REGISTERS = ControlRegisters(
+    base_address=KERNEL_TEXT_BASE,
+    region_size=KERNEL_TEXT_SIZE,
+    granularity=2048,
+    interval_ns=10_000_000,
+)
+INVOCATIONS = 20_000
 
 
 def _make_stream(seed: int = 0) -> list[AccessBurst]:
@@ -83,6 +96,34 @@ class RawMemometer:
         np.minimum(summed, COUNTER_MAX, out=buf, casting="unsafe")
         self.accepted_accesses += int(kept.sum())
 
+    def observe_footprint(self, footprint, iters) -> None:
+        plan = footprint.cell_plan(
+            self.registers.base_address, self.registers.region_size, self.spec.shift
+        )
+        sums = iters @ plan.matrix
+        total, accepted = sums[:2].tolist()
+        self.snooped_accesses += total
+        if accepted == 0:
+            return
+        buf = self._buffers[self._active]
+        cells = plan.cells
+        summed = buf[cells] + sums[2:].astype(np.uint64)
+        buf[cells] = np.minimum(summed, COUNTER_MAX)
+        self.accepted_accesses += accepted
+
+
+def _make_invocations(seed: int = 0) -> list:
+    """``(footprint, iters)`` pairs drawn from every default service."""
+    registry, _ = build_default_services(default_layout())
+    footprints = [registry.get(name).footprint for name in registry.names()]
+    rng = np.random.default_rng(seed)
+    return [
+        (footprint, footprint.sample_iterations(rng))
+        for footprint in (
+            footprints[i] for i in rng.integers(0, len(footprints), INVOCATIONS)
+        )
+    ]
+
 
 def _time_once(meter, stream) -> int:
     start = time.perf_counter_ns()
@@ -91,7 +132,14 @@ def _time_once(meter, stream) -> int:
     return time.perf_counter_ns() - start
 
 
-def _paired_rounds(stream):
+def _time_footprints_once(meter, invocations) -> int:
+    start = time.perf_counter_ns()
+    for footprint, iters in invocations:
+        meter.observe_footprint(footprint, iters)
+    return time.perf_counter_ns() - start
+
+
+def _paired_rounds(stream, registers=REGISTERS, timer=_time_once):
     """Per-round (raw, instrumented) wall times, measured back-to-back.
 
     Timing both datapaths inside the same round means they share one
@@ -100,26 +148,19 @@ def _paired_rounds(stream):
     """
     rounds = []
     for _ in range(REPEATS):
-        baseline = _time_once(RawMemometer(REGISTERS), stream)
-        instrumented = _time_once(Memometer(REGISTERS), stream)
+        baseline = timer(RawMemometer(registers), stream)
+        instrumented = timer(Memometer(registers), stream)
         rounds.append((baseline, instrumented))
     return rounds
 
 
-def test_obs_overhead(report):
-    obs.disable()  # the claim under test is the *disabled* path
-    stream = _make_stream()
-
-    _paired_rounds(stream[:50])  # warm-up both sides
-    rounds = _paired_rounds(stream)
-
+def _check_overhead(report, rounds, path: str, workload: str) -> None:
     ratios = sorted(instr / base for base, instr in rounds)
     overhead = ratios[len(ratios) // 2] - 1.0  # median paired ratio
     baseline_ns = min(base for base, _ in rounds)
-    accesses = BURSTS * ACCESSES_PER_BURST
     report.add(
-        "Disabled-observability overhead on Memometer.observe_burst",
-        f"(median of {REPEATS} paired rounds, {accesses:.0e} accesses each)",
+        f"Disabled-observability overhead on Memometer.{path}",
+        f"(median of {REPEATS} paired rounds, {workload} each)",
         "",
     )
     report.table(
@@ -132,8 +173,30 @@ def test_obs_overhead(report):
         ],
     )
     assert overhead < MAX_OVERHEAD, (
-        f"no-op instruments cost {overhead:.2%} on observe_burst "
+        f"no-op instruments cost {overhead:.2%} on {path} "
         f"(budget {MAX_OVERHEAD:.0%})"
+    )
+
+
+def test_obs_overhead(report):
+    obs.disable()  # the claim under test is the *disabled* path
+    stream = _make_stream()
+
+    _paired_rounds(stream[:50])  # warm-up both sides
+    rounds = _paired_rounds(stream)
+    accesses = BURSTS * ACCESSES_PER_BURST
+    _check_overhead(report, rounds, "observe_burst", f"{accesses:.0e} accesses")
+
+
+def test_obs_overhead_footprint(report):
+    obs.disable()
+    invocations = _make_invocations()
+    timer = _time_footprints_once
+
+    _paired_rounds(invocations[:500], PAPER_REGISTERS, timer)  # warm-up
+    rounds = _paired_rounds(invocations, PAPER_REGISTERS, timer)
+    _check_overhead(
+        report, rounds, "observe_footprint", f"{INVOCATIONS:.0e} service invocations"
     )
 
 
@@ -145,6 +208,18 @@ def test_raw_and_instrumented_agree_bit_for_bit():
     for burst in stream:
         raw.observe_burst(burst)
         real.observe_burst(burst)
+    np.testing.assert_array_equal(raw._buffers[0], real.active_counts())
+    assert raw.snooped_accesses == real.snooped_accesses
+    assert raw.accepted_accesses == real.accepted_accesses
+
+
+def test_raw_and_instrumented_footprints_agree_bit_for_bit():
+    obs.disable()
+    invocations = _make_invocations(seed=7)[:2_000]
+    raw, real = RawMemometer(PAPER_REGISTERS), Memometer(PAPER_REGISTERS)
+    for footprint, iters in invocations:
+        raw.observe_footprint(footprint, iters)
+        real.observe_footprint(footprint, iters)
     np.testing.assert_array_equal(raw._buffers[0], real.active_counts())
     assert raw.snooped_accesses == real.snooped_accesses
     assert raw.accepted_accesses == real.accepted_accesses

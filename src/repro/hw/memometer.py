@@ -20,17 +20,22 @@ This model is bit-exact at the level that matters:
   the secure core analyses buffer *i* land in buffer *1-i*.
 
 A scalar :meth:`Memometer.observe` reproduces the per-address datapath;
-:meth:`Memometer.observe_burst` is the fast path used by the simulator.
+:meth:`Memometer.observe_burst` bins a whole address burst and
+:meth:`Memometer.observe_footprint` is the cell-domain fast path the
+simulator takes when nothing sits between the core and the Memometer.
 The burst path routes through :func:`repro.kernels.count_cells`, so the
 ``REPRO_KERNELS`` switch selects between the vectorised histogram
 (``np.bincount`` over the shifted offsets) and the scalar reference
-oracle; the differential suite holds the two bit-identical.
+oracle; the differential suite holds the two bit-identical.  The
+footprint path applies a precomputed per-geometry
+:class:`~repro.sim.kernel.footprint.CellPlan` instead of binning, and
+is held bit-identical to the burst path (``tests/hw/test_memometer_cells.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -38,6 +43,9 @@ from .. import kernels, obs
 from ..core.mhm import MemoryHeatMap
 from ..core.spec import HeatMapSpec
 from ..sim.trace import AccessBurst
+
+if TYPE_CHECKING:
+    from ..sim.kernel.footprint import CompiledFootprint
 
 __all__ = [
     "MHM_MEMORY_BYTES",
@@ -117,6 +125,9 @@ class Memometer:
     ):
         self.registers = registers
         self.spec = registers.spec
+        self._geometry = (
+            registers.base_address, registers.region_size, self.spec.shift
+        )
         self.on_heatmap = on_heatmap
         # Two identical on-chip memories; uint64 backing, saturated at
         # COUNTER_MAX on every update, so overflow cannot wrap.
@@ -131,9 +142,9 @@ class Memometer:
         self.snooped_accesses = 0
         self.accepted_accesses = 0
         # Observability instruments (no-op singletons when disabled;
-        # the hot path pays one bound-method call per burst and never
-        # branches).  Cached here, so enable repro.obs *before*
-        # constructing the Memometer.
+        # the burst path pays a few bound-method calls per burst, the
+        # footprint path one flag test).  Cached here, so enable
+        # repro.obs *before* constructing the Memometer.
         registry = obs.metrics()
         self._metric_snooped = registry.counter("memometer.snooped_accesses")
         self._metric_accepted = registry.counter("memometer.accepted_accesses")
@@ -141,6 +152,7 @@ class Memometer:
         self._metric_saturated = registry.counter("memometer.saturated")
         self._metric_bursts = registry.counter("memometer.bursts")
         self._metric_swaps = registry.counter("memometer.swaps")
+        self._counting = registry.enabled
         self._tracer = obs.tracer()
 
     # ------------------------------------------------------------------
@@ -197,6 +209,43 @@ class Memometer:
         self.accepted_accesses += accepted
         self._metric_accepted.inc(accepted)
         self._metric_filtered.inc(total - accepted)
+
+    def observe_footprint(
+        self, footprint: CompiledFootprint, iters: np.ndarray
+    ) -> None:
+        """Cell-domain datapath: one kernel-service invocation.
+
+        Equivalent, bit for bit, to :meth:`observe_burst` on the burst
+        ``(footprint.addresses, footprint.weights(iters))`` — the
+        footprint's :class:`~repro.sim.kernel.footprint.CellPlan` for
+        this geometry turns the per-step iteration counts into the
+        snooped total, the accepted total and the per-cell increments
+        with one integer product.  Clamping at ``COUNTER_MAX`` commutes
+        with non-negative increments, so per-invocation application is
+        the same as per-address.
+        """
+        plan = footprint.cell_plan(*self._geometry)
+        sums = iters @ plan.matrix
+        total, accepted = sums[:2].tolist()
+        self.snooped_accesses += total
+        saturated = 0
+        if accepted:
+            buf = self._buffers[self._active]
+            cells = plan.cells
+            summed = buf[cells] + sums[2:].astype(np.uint64)
+            if self._counting:
+                saturated = int(np.count_nonzero(summed > COUNTER_MAX))
+            buf[cells] = np.minimum(summed, COUNTER_MAX)
+            self.accepted_accesses += accepted
+        # A per-invocation call is a few microseconds, so the five
+        # counter updates sit behind one flag rather than costing five
+        # no-op calls each time.
+        if self._counting:
+            self._metric_snooped.inc(total)
+            self._metric_bursts.inc()
+            self._metric_accepted.inc(accepted)
+            self._metric_filtered.inc(total - accepted)
+            self._metric_saturated.inc(saturated)
 
     # ------------------------------------------------------------------
     # Double buffering
@@ -268,6 +317,9 @@ class Memometer:
         """
         self.registers = registers
         self.spec = registers.spec
+        self._geometry = (
+            registers.base_address, registers.region_size, self.spec.shift
+        )
         self._buffers = [
             np.zeros(self.spec.num_cells, dtype=np.uint64),
             np.zeros(self.spec.num_cells, dtype=np.uint64),

@@ -4,7 +4,9 @@ In the SecureCore architecture [Yoon et al., RTAS 2013] one core of the
 dual-core processor is reserved for monitoring.  Here the secure core
 
 * receives each completed MHM from the Memometer at interval
-  boundaries and archives it;
+  boundaries and archives it (a streaming consumer takes each MHM off
+  the archive with :meth:`SecureCore.release`, so a long-running
+  stream holds O(1) of them);
 * optionally scores it online with a fitted detector (the run-time
   configuration of Figures 7, 8 and 10);
 * accounts the *modelled* analysis time per MHM using a cost model
@@ -110,7 +112,10 @@ class SecureCore:
         #: Simulated-time source for trace timestamps (the platform
         #: passes the simulator clock); falls back to interval starts.
         self.clock = clock
+        #: Archived MHMs; ``heatmaps[0]`` is interval ``released``.
         self.heatmaps: list[MemoryHeatMap] = []
+        #: MHMs taken off the front of the archive by :meth:`release`.
+        self.released = 0
         self.online_results: list[OnlineResult] = []
         self._scorer: Optional[Callable[[MemoryHeatMap], tuple[float, bool]]] = None
         self._scorer_dims: tuple[int, int] = (0, 0)  # (L', J) for timing
@@ -198,12 +203,36 @@ class SecureCore:
     # Retrieval
     # ------------------------------------------------------------------
     def series(self, start: int = 0, stop: Optional[int] = None) -> HeatMapSeries:
-        """Archived MHMs as a series (optionally a slice)."""
+        """Archived MHMs as a series (optionally a slice).
+
+        ``start``/``stop`` count intervals since construction; an
+        interval already taken off by :meth:`release` cannot be
+        sliced again.
+        """
+        offset = self.released
+        if offset:
+            if start < offset:
+                raise ValueError(
+                    f"interval {start} was already released "
+                    f"({offset} released so far)"
+                )
+            start -= offset
+            stop = None if stop is None else stop - offset
         return HeatMapSeries(self.spec, self.heatmaps[start:stop])
+
+    def release(self) -> list[MemoryHeatMap]:
+        """Take every archived MHM off the archive and return them.
+
+        A streaming consumer calls this after each interval so the
+        archive never grows; :attr:`intervals_received` keeps counting.
+        """
+        taken, self.heatmaps = self.heatmaps, []
+        self.released += len(taken)
+        return taken
 
     @property
     def intervals_received(self) -> int:
-        return len(self.heatmaps)
+        return self.released + len(self.heatmaps)
 
     def anomalous_intervals(self) -> list[int]:
         return [r.interval_index for r in self.online_results if r.is_anomalous]

@@ -277,10 +277,8 @@ class DeviceStream:
                 platform.sim.schedule_at(
                     platform.now + offset, self.attack.revert, platform
                 )
-        start = platform.intervals_completed
         platform.run_intervals(1)
-        heat_map = platform.secure_core.series(start=start)[0]
-        syscalls = platform.syscall_matrix(start=start)[0]
+        heat_map, syscalls = platform.release_interval()
         self.emitted += 1
         trace = None
         if self._tracer.enabled:

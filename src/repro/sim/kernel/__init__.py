@@ -10,6 +10,7 @@ from .layout import (
     KernelFunction,
     KernelLayout,
     default_heatmap_spec,
+    default_layout,
 )
 from .modules import LoadedModule, ModuleLoader
 from .process import ProcessManager, ProcessRecord
@@ -31,6 +32,7 @@ __all__ = [
     "KERNEL_TEXT_SIZE",
     "MODULE_SPACE_BASE",
     "default_heatmap_spec",
+    "default_layout",
     "AslrState",
     "RANDOMIZE_VA_SPACE",
     "LoadedModule",

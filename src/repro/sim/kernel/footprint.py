@@ -9,6 +9,13 @@ and compiles them against a :class:`~repro.sim.kernel.layout.KernelLayout`
 into address/weight arrays that can be emitted as
 :class:`~repro.sim.trace.AccessBurst` records.
 
+A compiled footprint's addresses are fixed; only its per-step iteration
+counts are random.  :meth:`CompiledFootprint.cell_plan` therefore
+resolves the addresses once per Memometer geometry into a
+:class:`CellPlan`, and one invocation's whole effect on the heat map is
+``iters @ plan.matrix`` — the cell-domain fast path the simulator takes
+when the Memometer snoops the raw fetch stream.
+
 Per-invocation variation (loop trip counts, data-dependent paths) is
 modelled by jittering each step's iteration count, which is exactly the
 "small variations from one or more of these patterns" the paper's GMM
@@ -24,7 +31,13 @@ import numpy as np
 
 from .layout import KernelLayout
 
-__all__ = ["FETCH_STRIDE", "FootprintStep", "CompiledFootprint", "FootprintCompiler"]
+__all__ = [
+    "FETCH_STRIDE",
+    "FootprintStep",
+    "CellPlan",
+    "CompiledFootprint",
+    "FootprintCompiler",
+]
 
 #: Bytes between sampled fetch addresses inside a function body.  The
 #: MHM granularity is >= 512 B in every experiment, so a 16-byte sample
@@ -72,13 +85,32 @@ class FootprintStep:
             raise ValueError("explicit step size must be positive")
 
 
+@dataclass(frozen=True)
+class CellPlan:
+    """A footprint resolved against one heat-map geometry.
+
+    ``cells`` holds the (sorted, distinct) cell indices the footprint's
+    in-region addresses fall into.  ``matrix`` is an int64 array of
+    shape ``(steps, 2 + len(cells))`` whose row *s* is step *s*'s
+    per-iteration contribution: ``[fetches | in-region fetches |
+    fetches per touched cell]``.  For a vector of per-step iteration
+    counts, ``iters @ matrix`` is therefore ``[snooped total, accepted
+    total, per-cell increments]`` — the same integers binning the
+    weighted address burst yields.
+    """
+
+    cells: np.ndarray
+    matrix: np.ndarray
+
+
 class CompiledFootprint:
     """A footprint resolved to concrete fetch addresses.
 
-    ``sample(rng)`` draws one invocation: the shared address vector plus
-    a weight vector built from per-step jittered iteration counts.
-    ``mean()`` returns the deterministic expected burst, used by tests
-    and by analytical checks.
+    ``sample_iterations(rng)`` draws one invocation's per-step jittered
+    iteration counts; ``sample(rng)`` expands the same draw into the
+    shared address vector plus a per-address weight vector.  ``mean()``
+    returns the deterministic expected burst, used by tests and by
+    analytical checks.
     """
 
     def __init__(
@@ -99,6 +131,7 @@ class CompiledFootprint:
             len(self.step_lengths) == len(self.mean_iterations) == len(self.jitters)
         ):
             raise ValueError("per-step arrays must have equal length")
+        self._plans: dict[tuple[int, int, int], CellPlan] = {}
 
     @property
     def num_steps(self) -> int:
@@ -112,23 +145,74 @@ class CompiledFootprint:
     def mean_total_accesses(self) -> float:
         return float((self.step_lengths * self.mean_iterations).sum())
 
-    def sample(
+    def sample_iterations(
         self, rng: np.random.Generator, jitter_scale: float = 1.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One invocation: ``(addresses, weights)`` with jittered counts.
+    ) -> np.ndarray:
+        """One invocation's per-step iteration counts (int64, >= 1).
 
         ``jitter_scale`` multiplies every step's jitter; an RTOS-like
         platform (deterministic loop bounds) uses a scale < 1.
+
+        The counts are ``max(1, rint(mean * noise))`` with ``noise ~
+        N(1, jitter)``.  ``rng.normal(loc=1.0, scale=s)`` computes each
+        draw as ``1.0 + s * z`` from one standard-normal variate ``z``;
+        drawing the ``z`` vector directly and applying the same two
+        operations (each rounded once, in the same order) yields the
+        same stream without ``normal``'s per-call argument validation,
+        which dominated the cost of a draw.
         """
-        noise = rng.normal(loc=1.0, scale=self.jitters * jitter_scale)
-        iters = np.maximum(1, np.rint(self.mean_iterations * noise)).astype(np.int64)
-        weights = np.repeat(iters, self.step_lengths)
-        return self.addresses, weights
+        noise = rng.standard_normal(len(self.jitters))
+        noise *= self.jitters * jitter_scale
+        noise += 1.0
+        noise *= self.mean_iterations
+        iters = np.rint(noise).astype(np.int64)
+        return np.maximum(iters, 1, out=iters)
+
+    def sample(
+        self, rng: np.random.Generator, jitter_scale: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One invocation: ``(addresses, weights)`` with jittered counts."""
+        iters = self.sample_iterations(rng, jitter_scale)
+        return self.addresses, self.weights(iters)
+
+    def weights(self, iters: np.ndarray) -> np.ndarray:
+        """Per-address weights for per-step iteration counts ``iters``."""
+        return np.repeat(iters, self.step_lengths)
+
+    def cell_plan(self, base_address: int, region_size: int, shift: int) -> CellPlan:
+        """The :class:`CellPlan` for one geometry, built once and cached.
+
+        ``(base_address, region_size, shift)`` are the Memometer's
+        control-register values; the binning is the Section 3.1
+        datapath (``0 <= addr - base < size``, ``idx = offset >> g``).
+        """
+        key = (base_address, region_size, shift)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._build_plan(*key)
+        return plan
+
+    def _build_plan(self, base_address: int, region_size: int, shift: int) -> CellPlan:
+        steps = self.num_steps
+        step_of = np.repeat(np.arange(steps), self.step_lengths)
+        offsets = self.addresses - base_address
+        in_region = (offsets >= 0) & (offsets < region_size)
+        cells, column = np.unique(offsets[in_region] >> shift, return_inverse=True)
+        per_cell = np.bincount(
+            step_of[in_region] * len(cells) + column, minlength=steps * len(cells)
+        ).reshape(steps, len(cells))
+        matrix = np.empty((steps, 2 + len(cells)), dtype=np.int64)
+        matrix[:, 0] = self.step_lengths
+        matrix[:, 1] = np.bincount(step_of[in_region], minlength=steps)
+        matrix[:, 2:] = per_cell
+        cells.setflags(write=False)
+        matrix.setflags(write=False)
+        return CellPlan(cells=cells, matrix=matrix)
 
     def mean(self) -> tuple[np.ndarray, np.ndarray]:
         """The expected (jitter-free) invocation."""
         iters = np.maximum(1, np.rint(self.mean_iterations)).astype(np.int64)
-        return self.addresses, np.repeat(iters, self.step_lengths)
+        return self.addresses, self.weights(iters)
 
 
 class FootprintCompiler:

@@ -5,6 +5,16 @@ syscall table, ASLR state, module loader — and is the single point
 through which the simulation emits memory-access bursts.  Everything
 the Memometer ever observes flows through :meth:`Kernel._emit`.
 
+When the only attached probe is a Memometer (the paper's ``pre-l1``
+placement), a kernel-service invocation goes to it in the cell domain:
+the footprint's per-step iteration counts are handed to
+:meth:`~repro.hw.memometer.Memometer.observe_footprint` and no address
+burst is built.  Any other topology — caches in front of the Memometer
+(``post-l1``/``post-l2``), a :class:`~repro.sim.trace.TraceRecorder`, an
+extra watcher — gets the full :class:`~repro.sim.trace.AccessBurst`,
+which keeps the address path as the differential oracle.  Both paths
+make the same RNG draws, so the heat maps are identical either way.
+
 Syscall dispatch honours hijacked table entries (Scenario 3): the
 module-space wrapper's fetches are emitted (and filtered out by the
 Memometer, since module space is outside the monitored region), the
@@ -22,7 +32,7 @@ from ..engine import Simulator
 from ..trace import AccessBurst, BurstFanout, TraceProbe
 from .aslr import RANDOMIZE_VA_SPACE, AslrState
 from .footprint import FootprintCompiler
-from .layout import KernelLayout
+from .layout import default_layout
 from .modules import ModuleLoader
 from .syscalls import KernelService, ServiceRegistry, SyscallTable, build_default_services
 
@@ -60,7 +70,7 @@ class Kernel:
         #: Scales per-invocation footprint jitter; an RTOS-like kernel
         #: (deterministic code paths) uses a value < 1 (paper, Sec. 7).
         self.jitter_scale = jitter_scale
-        self.layout = layout or KernelLayout()
+        self.layout = layout or default_layout()
         if registry is None or table is None:
             registry, table = build_default_services(self.layout)
         self.services = registry
@@ -69,6 +79,9 @@ class Kernel:
         self.aslr = AslrState()
         self.modules = ModuleLoader(self)
         self._fanout = BurstFanout()
+        # ``observe_footprint`` of the sole attached probe, when it has
+        # one (see the module docstring); None selects the address path.
+        self._cell_sink = None
         #: Invocation counts by service name (diagnostics and tests).
         self.invocation_counts: dict[str, int] = {}
 
@@ -82,26 +95,35 @@ class Kernel:
     def attach_probe(self, probe: TraceProbe) -> None:
         """Attach a hardware probe (Memometer snoop port, cache, ...)."""
         self._fanout.attach(probe)
+        self._route()
 
     def detach_probe(self, probe: TraceProbe) -> None:
         self._fanout.detach(probe)
+        self._route()
+
+    def _route(self) -> None:
+        probes = self._fanout.probes
+        sole = probes[0] if len(probes) == 1 else None
+        self._cell_sink = getattr(sole, "observe_footprint", None)
 
     def _emit(
         self, service: KernelService, kind: Optional[str] = None, core: int = 0
     ) -> None:
-        addresses, weights = service.sample_burst(
-            self.rng, jitter_scale=self.jitter_scale
-        )
-        self._fanout.observe_burst(
-            AccessBurst(
-                time_ns=self.now,
-                addresses=addresses,
-                weights=weights,
-                kind=kind or service.name,
-                core=core,
-            )
-        )
+        footprint = service.footprint
+        iters = footprint.sample_iterations(self.rng, self.jitter_scale)
         name = kind or service.name
+        if self._cell_sink is not None:
+            self._cell_sink(footprint, iters)
+        else:
+            self._fanout.observe_burst(
+                AccessBurst(
+                    time_ns=self.now,
+                    addresses=footprint.addresses,
+                    weights=footprint.weights(iters),
+                    kind=name,
+                    core=core,
+                )
+            )
         self.invocation_counts[name] = self.invocation_counts.get(name, 0) + 1
 
     def emit_user_burst(

@@ -29,6 +29,7 @@ hijacking handler itself is invisible to the MHM.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -46,6 +47,7 @@ __all__ = [
     "KernelFunction",
     "KernelLayout",
     "default_heatmap_spec",
+    "default_layout",
 ]
 
 #: Paper, Figure 1: the monitored region of the Linux 3.4 kernel.
@@ -414,6 +416,17 @@ class KernelLayout:
             f"KernelLayout(base={self.base_address:#x}, size={self.text_size}, "
             f"functions={len(self.functions)})"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def default_layout() -> KernelLayout:
+    """The process-wide default :class:`KernelLayout`.
+
+    The layout is a pure function of a fixed seed and is never mutated
+    after construction, so every kernel shares one instance instead of
+    rebuilding the symbol table per platform.
+    """
+    return KernelLayout()
 
 
 def default_heatmap_spec(granularity: int = 2048) -> HeatMapSpec:

@@ -60,11 +60,6 @@ class KernelService:
         jittered = rng.normal(self.latency_ns, self.latency_ns * self.latency_jitter)
         return max(int(self.latency_ns * 0.1), int(jittered))
 
-    def sample_burst(
-        self, rng: np.random.Generator, jitter_scale: float = 1.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.footprint.sample(rng, jitter_scale=jitter_scale)
-
 
 class ServiceRegistry:
     """Name → :class:`KernelService` mapping."""

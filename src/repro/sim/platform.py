@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import obs
+from ..core.mhm import MemoryHeatMap
 from ..core.series import HeatMapSeries
 from ..core.spec import HeatMapSpec
 from ..hw.cache import L1_CONFIG, L2_CONFIG, CacheFilter, SetAssociativeCache
@@ -177,6 +178,8 @@ class Platform:
             name: i for i, name in enumerate(self.syscall_vocabulary)
         }
         self._syscall_prev: dict[str, int] = {}
+        # Row i is interval ``secure_core.released + i`` (both archives
+        # are released together, by :meth:`release_interval`).
         self._syscall_rows: list[np.ndarray] = []
 
         registry = obs.metrics()
@@ -303,7 +306,25 @@ class Platform:
         capture paths share the interval-boundary callback, so indices
         align by construction.
         """
-        rows = self._syscall_rows[start:]
+        released = self.secure_core.released
+        if released and start < released:
+            raise ValueError(f"interval {start} was already released")
+        rows = self._syscall_rows[start - released :]
         if not rows:
             return np.zeros((0, len(self.syscall_vocabulary)), dtype=np.int64)
         return np.stack(rows)
+
+    def release_interval(self) -> tuple[MemoryHeatMap, np.ndarray]:
+        """Take the one archived interval off both archives.
+
+        Returns its MHM and syscall histogram.  A streaming consumer
+        (:class:`~repro.sim.fleet.DeviceStream`) runs one interval at a
+        time and calls this after each, so the platform holds O(1)
+        intervals however long it runs; :attr:`intervals_completed`
+        keeps counting.  Batch consumers (:meth:`collect_intervals`,
+        :meth:`syscall_matrix`) keep the full archives instead.
+        """
+        (heat_map,) = self.secure_core.release()
+        (syscalls,) = self._syscall_rows
+        self._syscall_rows = []
+        return heat_map, syscalls

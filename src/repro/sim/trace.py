@@ -231,5 +231,10 @@ class BurstFanout:
         for probe in self._probes:
             probe.observe_burst(burst)
 
+    @property
+    def probes(self) -> tuple:
+        """The attached probes, in attach order."""
+        return tuple(self._probes)
+
     def __len__(self) -> int:
         return len(self._probes)

@@ -11,6 +11,7 @@ from repro.sim.fleet import (
     build_fleet_specs,
     profile_config,
 )
+from repro.sim.platform import Platform
 
 
 class TestProfiles:
@@ -129,6 +130,39 @@ class TestDeviceStream:
         assert all(not r.truth for r in records)
         assert [r.interval_index for r in records] == [0, 1, 2, 3]
         assert all(r.vector.dtype == np.float64 for r in records)
+
+    def test_archives_stay_bounded_while_indices_keep_counting(self):
+        spec = DeviceSpec(device_id="d", index=0, profile="netload", seed=7)
+        stream = DeviceStream(spec)
+        platform = stream.platform
+        for i in range(200):
+            record = stream.next_interval()
+            assert record.interval_index == i
+            assert len(platform.secure_core.heatmaps) <= 1
+            assert len(platform._syscall_rows) <= 1
+        assert platform.intervals_completed == 200
+        assert platform.secure_core.intervals_received == 200
+        assert platform.memometer.intervals_completed == 200
+        with pytest.raises(ValueError, match="released"):
+            platform.secure_core.series(start=0)
+        with pytest.raises(ValueError, match="released"):
+            platform.syscall_matrix(start=199)
+
+    def test_stream_records_equal_a_batch_collection(self):
+        """The released records are exactly what a batch consumer of
+        the same seed keeps in its (complete) archives."""
+        spec = DeviceSpec(device_id="d", index=0, profile="baseline", seed=8)
+        stream = DeviceStream(spec)
+        records = [stream.next_interval() for _ in range(30)]
+        batch = Platform(profile_config("baseline").with_seed(8))
+        series = batch.collect_intervals(30)
+        assert len(series) == len(batch.secure_core.heatmaps) == 30
+        syscalls = batch.syscall_matrix()
+        assert syscalls.shape[0] == 30
+        for i, record in enumerate(records):
+            np.testing.assert_array_equal(record.vector, series[i].as_vector())
+            np.testing.assert_array_equal(record.syscalls, syscalls[i])
+            assert record.time_ns == series[i].start_time_ns
 
 
 class TestFleetSimulator:

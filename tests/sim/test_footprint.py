@@ -166,6 +166,51 @@ class TestSampling:
             assert (weights >= 1).all()
 
 
+class TestSampleIterations:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        means=st.lists(
+            st.floats(min_value=0.1, max_value=500.0), min_size=1, max_size=20
+        ),
+        jitter=st.floats(min_value=0.0, max_value=1.0),
+        jitter_scale=st.sampled_from((0.0, 0.5, 1.0, 1.7)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_draws_as_rng_normal(self, seed, means, jitter, jitter_scale):
+        """The counts equal the ``rng.normal``-based formula draw for
+        draw, and leave the generator in the same state."""
+        steps = len(means)
+        jitters = np.full(steps, jitter)
+        jitters[::3] = 0.0
+        footprint = CompiledFootprint(
+            addresses=np.arange(steps),
+            step_lengths=np.ones(steps, dtype=np.int64),
+            mean_iterations=np.array(means),
+            jitters=jitters,
+        )
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            iters = footprint.sample_iterations(fast, jitter_scale)
+            noise = reference.normal(loc=1.0, scale=jitters * jitter_scale)
+            expected = np.maximum(1, np.rint(np.array(means) * noise)).astype(np.int64)
+            assert iters.dtype == np.int64
+            np.testing.assert_array_equal(iters, expected)
+        assert fast.random() == reference.random()
+
+    def test_sample_expands_the_same_draw(self, compiler):
+        footprint = compiler.compile(
+            [
+                FootprintStep(function="sys_read", iterations=4.0),
+                FootprintStep(function="memcpy", iterations=9.0),
+            ]
+        )
+        iters = footprint.sample_iterations(np.random.default_rng(5))
+        addresses, weights = footprint.sample(np.random.default_rng(5))
+        assert addresses is footprint.addresses
+        np.testing.assert_array_equal(weights, np.repeat(iters, footprint.step_lengths))
+        np.testing.assert_array_equal(weights, footprint.weights(iters))
+
+
 class TestCompiledValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="cover"):

@@ -5,12 +5,24 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.kernel.kernel import Kernel
+from repro.sim.kernel.layout import KernelLayout, default_layout
 from repro.sim.trace import TraceRecorder
 
 
 @pytest.fixture()
 def kernel(layout):
     return Kernel(Simulator(), np.random.default_rng(0), layout=layout)
+
+
+class TestDefaultLayout:
+    def test_kernels_share_one_default_layout(self):
+        first = Kernel(Simulator(), np.random.default_rng(0))
+        second = Kernel(Simulator(), np.random.default_rng(1))
+        assert first.layout is second.layout is default_layout()
+
+    def test_shared_layout_equals_a_fresh_build(self):
+        fresh = KernelLayout()
+        assert default_layout().functions == fresh.functions
 
 
 class TestEmission:

@@ -153,6 +153,6 @@ class TestSyscallTable:
 class TestServiceSampling:
     def test_burst_addresses_within_footprint(self, registry, rng):
         service = registry.get("syscall.read")
-        addresses, weights = service.sample_burst(rng)
+        addresses, weights = service.footprint.sample(rng)
         np.testing.assert_array_equal(addresses, service.footprint.addresses)
         assert weights.min() >= 1

@@ -13,7 +13,10 @@ Reads the JSON report produced by ``pytest --cov ...
   gets *per-module* floors on top of the ``serve/`` aggregate —
   ``src/repro/serve/bus.py`` and ``src/repro/serve/recalibrate.py``
   each at 85 % — so a well-covered data plane cannot mask an
-  untested control plane;
+  untested control plane.  The Memometer's two datapaths and the
+  footprint plans they share get per-module floors too —
+  ``src/repro/hw/memometer.py`` and ``src/repro/sim/kernel/footprint.py``
+  each at 85 %;
 * the rest of ``src/repro/`` — must never regress below the captured
   baseline in ``tools/coverage_baseline.json``.
 
@@ -42,6 +45,8 @@ GATES = {
     "src/repro/conformance/": 85.0,
     "src/repro/learn/contexts.py": 85.0,
     "src/repro/learn/ensemble.py": 85.0,
+    "src/repro/hw/memometer.py": 85.0,
+    "src/repro/sim/kernel/footprint.py": 85.0,
 }
 BASELINE_PATH = pathlib.Path(__file__).parent / "coverage_baseline.json"
 
