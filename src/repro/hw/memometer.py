@@ -200,7 +200,9 @@ class Memometer:
             self._metric_filtered.inc(total)
             return
         buf = self._buffers[self._active]
-        summed = buf + increments.astype(np.uint64)
+        # Counts are non-negative int64: viewing them as uint64 is the
+        # same values without the copy astype would make.
+        summed = buf + increments.view(np.uint64)
         if self._metric_saturated.enabled:
             over = summed > COUNTER_MAX
             if over.any():

@@ -29,17 +29,13 @@ Select the backend with the ``REPRO_KERNELS`` environment variable
     with kernels.use_backend("reference"):  # scoped
         ...
 
-Every public kernel dispatches per call, so a switch takes effect
-immediately.  ``repro.bench`` times each kernel under both backends
-and records the speedups in ``BENCH_kernels.json``.
-
-The fused fleet-scoring path (:func:`fleet_score_batch` /
-:class:`FleetScorer`) additionally honours a *compute dtype*,
-selected with ``REPRO_KERNELS_DTYPE`` (``float64`` — the default and
-the shipped digest path — or ``float32``, an opt-in fast path on the
-vectorized backend whose error against the float64 oracle is bounded
-by :data:`FLOAT32_ULP_BUDGET`).  The scalar reference backend always
-computes in float64: it *is* the accuracy oracle.
+The backend is resolved once per switch — from ``REPRO_KERNELS`` at
+the first kernel call, and again after each ``set_backend`` /
+``use_backend`` — so the per-call dispatch is one cached attribute
+lookup, never an environment read.  Changing ``REPRO_KERNELS`` after
+the first kernel call has no effect on a running process.
+``repro.bench`` times each kernel under both backends and records the
+speedups in ``BENCH_kernels.json``.
 """
 
 from __future__ import annotations
@@ -51,21 +47,16 @@ from typing import Optional
 
 import numpy as np
 
+from . import reference, vectorized
+
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "ENV_VAR",
-    "DTYPES",
-    "DEFAULT_DTYPE",
-    "DTYPE_ENV_VAR",
-    "FLOAT32_ULP_BUDGET",
     "KernelBackendError",
     "active_backend",
     "set_backend",
     "use_backend",
-    "active_dtype",
-    "set_dtype",
-    "use_dtype",
     "backend_module",
     "count_cells",
     "project_batch",
@@ -76,7 +67,6 @@ __all__ = [
     "nearest_context_batch",
     "logsumexp",
     "safe_log_weights",
-    "float32_ulp_error",
     "FleetScores",
     "fleet_score_batch",
     "FleetScorer",
@@ -88,31 +78,14 @@ BACKENDS = ("reference", "vectorized")
 ENV_VAR = "REPRO_KERNELS"
 #: Backend used when neither an override nor the env var is set.
 DEFAULT_BACKEND = "vectorized"
+_MODULES = {"reference": reference, "vectorized": vectorized}
 
-#: Recognised fused-path compute dtypes.
-DTYPES = ("float64", "float32")
-#: Environment variable that selects the fused-path compute dtype.
-DTYPE_ENV_VAR = "REPRO_KERNELS_DTYPE"
-#: Dtype used when neither an override nor the env var is set.  The
-#: float64 default is the digest-bearing path: its results are
-#: bit-identical to the unfused kernel chain.
-DEFAULT_DTYPE = "float64"
-
-#: Maximum allowed float32 fast-path error, in float32 ULPs of the
-#: float64 oracle result (see :func:`float32_ulp_error`).  Measured
-#: maxima on realistic device batches sit around a few hundred ULPs
-#: (dominated by cancellation in the 1,472-term projection dot
-#: products); the budget leaves an order-of-magnitude margin while
-#: still catching any float64 intermediate accidentally dropped to
-#: bfloat16-class precision.  ``tests/kernels/test_fused.py`` enforces
-#: it; ``repro bench`` records the measured maximum next to it.
-FLOAT32_ULP_BUDGET = 4096.0
-
-#: Process-wide programmatic override (survives env changes).
+#: Process-wide programmatic override (beats the env var).
 _override: Optional[str] = None
 
-#: Process-wide programmatic dtype override (survives env changes).
-_dtype_override: Optional[str] = None
+#: The ``(name, module)`` every kernel dispatches to; ``None`` until
+#: the next kernel call resolves it (see :func:`_resolve`).
+_active: Optional[tuple] = None
 
 
 class KernelBackendError(ValueError):
@@ -130,94 +103,52 @@ def _validate(name: str) -> str:
     return name
 
 
+def _resolve() -> tuple:
+    """Resolve and cache the active ``(name, module)``: the override
+    if one is set, else ``REPRO_KERNELS``, else the default."""
+    global _active
+    name = _override
+    if name is None:
+        raw = os.environ.get(ENV_VAR, "")
+        name = _validate(raw) if raw.strip() else DEFAULT_BACKEND
+    _active = (name, _MODULES[name])
+    return _active
+
+
 def active_backend() -> str:
     """The backend name kernels will dispatch to right now."""
-    if _override is not None:
-        return _override
-    raw = os.environ.get(ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_BACKEND
-    return _validate(raw)
+    return (_active or _resolve())[0]
 
 
 def set_backend(name: Optional[str]) -> None:
     """Set (or with ``None`` clear) the process-wide backend override.
 
     The override takes precedence over the ``REPRO_KERNELS``
-    environment variable.
+    environment variable, which is read again at the next kernel call
+    after the override is cleared.
     """
-    global _override
+    global _override, _active
     _override = None if name is None else _validate(name)
+    _active = None
 
 
 @contextmanager
 def use_backend(name: str):
-    """Scoped backend switch (restores the previous override on exit)."""
-    global _override
-    previous = _override
-    _override = _validate(name)
+    """Scoped backend switch (restores the previous backend on exit)."""
+    global _override, _active
+    previous = _override, _active
+    _override, _active = _validate(name), None
     try:
         yield
     finally:
-        _override = previous
-
-
-def _validate_dtype(name: str) -> str:
-    name = str(name).strip().lower()
-    if name not in DTYPES:
-        raise KernelBackendError(
-            f"unknown kernels dtype {name!r}; choose from {list(DTYPES)} "
-            f"(set via the {DTYPE_ENV_VAR} environment variable or "
-            f"repro.kernels.set_dtype)"
-        )
-    return name
-
-
-def active_dtype() -> str:
-    """The compute dtype the fused fleet path will use right now."""
-    if _dtype_override is not None:
-        return _dtype_override
-    raw = os.environ.get(DTYPE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_DTYPE
-    return _validate_dtype(raw)
-
-
-def set_dtype(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide dtype override.
-
-    The override takes precedence over the ``REPRO_KERNELS_DTYPE``
-    environment variable.  It does **not** cross process boundaries —
-    pool children inherit only the environment variable, which is why
-    :class:`repro.serve.service.ServeConfig` resolves the dtype in the
-    parent and ships it to every shard explicitly.
-    """
-    global _dtype_override
-    _dtype_override = None if name is None else _validate_dtype(name)
-
-
-@contextmanager
-def use_dtype(name: str):
-    """Scoped dtype switch (restores the previous override on exit)."""
-    global _dtype_override
-    previous = _dtype_override
-    _dtype_override = _validate_dtype(name)
-    try:
-        yield
-    finally:
-        _dtype_override = previous
+        _override, _active = previous
 
 
 def backend_module(name: Optional[str] = None):
     """The implementation module for ``name`` (default: active backend)."""
-    resolved = _validate(name) if name is not None else active_backend()
-    if resolved == "reference":
-        from . import reference
-
-        return reference
-    from . import vectorized
-
-    return vectorized
+    if name is not None:
+        return _MODULES[_validate(name)]
+    return (_active or _resolve())[1]
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +191,7 @@ def count_cells(
     that passed the region filter.  Integer arithmetic throughout:
     both backends are bit-identical (exact for totals below 2**53).
     """
-    return backend_module().count_cells(
+    return (_active or _resolve())[1].count_cells(
         addresses,
         weights,
         base_address=base_address,
@@ -351,27 +282,6 @@ def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Fused fleet scoring
 # ----------------------------------------------------------------------
-def float32_ulp_error(fast: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """Elementwise error of ``fast`` in float32 ULPs of ``oracle``.
-
-    The unit is ``spacing(float32(|oracle|))`` — the gap between
-    adjacent float32 values at the oracle's magnitude — floored at
-    ``spacing(float32(1.0))`` so near-zero oracle values don't make the
-    denominator degenerate.  Non-finite elements count as 0 ULPs when
-    the two values are identical (matching ``±inf``) and ``inf`` ULPs
-    otherwise.  This is the metric :data:`FLOAT32_ULP_BUDGET` bounds.
-    """
-    oracle = np.asarray(oracle, dtype=np.float64)
-    fast = np.asarray(fast, dtype=np.float64)
-    spacing = np.spacing(np.abs(oracle).astype(np.float32)).astype(np.float64)
-    spacing = np.maximum(spacing, float(np.spacing(np.float32(1.0))))
-    out = np.full(np.broadcast(fast, oracle).shape, np.inf, dtype=np.float64)
-    finite = np.isfinite(oracle) & np.isfinite(fast)
-    np.divide(np.abs(fast - oracle), spacing, out=out, where=finite)
-    out[~finite & (fast == oracle)] = 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class FleetScores:
     """One fused fleet-scoring call's results, in input-row order.
@@ -379,8 +289,7 @@ class FleetScores:
     ``context_scores`` and ``context_residuals`` are ``None`` unless
     the call carried the second modality's model arrays; residuals
     additionally need the per-row phase indices.  All arrays are
-    float64 regardless of the compute dtype (the float32 fast path
-    casts its results back).
+    float64.
     """
 
     log_densities: np.ndarray
@@ -397,7 +306,6 @@ def fleet_score_batch(
     cholesky_factors: np.ndarray,
     *,
     pad_to: Optional[int] = None,
-    dtype: Optional[str] = None,
     syscalls: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
     scales: Optional[np.ndarray] = None,
@@ -416,9 +324,7 @@ def fleet_score_batch(
     zero-pads to fixed ``k``-row chunks — bit-identical to the serving
     layer's historical ``batched_log_densities`` chunk loop, keeping
     every row's score a pure function of its own vector (the serial ≡
-    sharded digest contract).  ``dtype=None`` uses
-    :func:`active_dtype`; the reference backend ignores the dtype and
-    always computes the float64 oracle result.
+    sharded digest contract).
     """
     if pad_to is not None and pad_to < 1:
         raise ValueError("pad_to must be >= 1 (or None for whole-batch)")
@@ -433,7 +339,6 @@ def fleet_score_batch(
             np.atleast_2d(np.asarray(syscalls))
         ):
             raise ValueError("phases must align with the syscall batch rows")
-    resolved = _validate_dtype(dtype) if dtype is not None else active_dtype()
     densities, context_scores, residuals = backend_module().fleet_score_batch(
         matrix,
         mean,
@@ -442,7 +347,6 @@ def fleet_score_batch(
         means,
         cholesky_factors,
         pad_to=pad_to,
-        dtype=resolved,
         syscalls=syscalls,
         centers=centers,
         scales=scales,
@@ -538,7 +442,6 @@ class FleetScorer:
         syscalls: Optional[np.ndarray] = None,
         interval_indices: Optional[np.ndarray] = None,
         pad_to: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> FleetScores:
         """Fused scores for one cross-device batch.
 
@@ -563,7 +466,6 @@ class FleetScorer:
             self.gmm_means,
             self.gmm_cholesky_factors,
             pad_to=pad_to,
-            dtype=dtype,
             syscalls=syscalls if self.has_context else None,
             centers=self.context_centers if syscalls is not None else None,
             scales=self.context_scales if syscalls is not None else None,

@@ -142,10 +142,6 @@ class FleetReport:
     devices_drifted: int
     fleet_digest: str
     modality: str = "mhm"
-    #: Fused-kernel compute dtype the run scored with.  The "float64"
-    #: default keeps schema-1 payloads written before the fast path
-    #: existed loadable (they could only have scored in float64).
-    kernels_dtype: str = "float64"
     #: Which executor ran the shards: "lockstep" (the serial reference)
     #: or "async" (the event-bus data plane).  Scheduling metadata —
     #: the conformance contract is that it never changes the verdicts.
@@ -167,7 +163,6 @@ class FleetReport:
         device_reports: List[DeviceReport],
         block_stalls: int,
         kernels_backend: str,
-        kernels_dtype: str = "float64",
         bus: Optional[dict] = None,
     ) -> "FleetReport":
         reports = sorted(device_reports, key=lambda r: r.device_index)
@@ -198,7 +193,6 @@ class FleetReport:
             devices_drifted=sum(1 for r in reports if r.drifted),
             fleet_digest=fleet.hexdigest(),
             modality=getattr(config, "modality", "mhm"),
-            kernels_dtype=kernels_dtype,
             executor=getattr(config, "executor", "lockstep"),
             devices_recalibrated=sum(1 for r in reports if r.recalibrated),
             bus=bus,
@@ -217,6 +211,15 @@ class FleetReport:
             )
         devices = [DeviceReport(**entry) for entry in payload["device_reports"]]
         fields = {k: v for k, v in payload.items() if k != "device_reports"}
+        # Reports written while scoring had a float32 option carry the
+        # dtype they scored in.  Only float64 digests came from the
+        # shipped path, so only those reports still load.
+        legacy_dtype = fields.pop("kernels_dtype", "float64")
+        if legacy_dtype != "float64":
+            raise ValueError(
+                f"fleet report scored with kernels_dtype {legacy_dtype!r}; "
+                "only float64 reports are supported"
+            )
         return cls(device_reports=devices, **fields)
 
     def to_json(self, indent: int = 2) -> str:

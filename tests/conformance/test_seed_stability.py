@@ -63,7 +63,6 @@ config = ServeConfig(
 report = FleetService(config).run()
 print(json.dumps({
     "fleet_digest": report.fleet_digest,
-    "kernels_dtype": report.kernels_dtype,
     "verdicts": report.verdict_sequences,
 }))
 """
@@ -73,15 +72,12 @@ def _run_fresh_interpreter(
     hash_seed: str,
     snippet: str = SNIPPET,
     argv: tuple = (),
-    dtype: str | None = None,
+    extra_env: dict | None = None,
 ) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    if dtype is None:
-        env.pop("REPRO_KERNELS_DTYPE", None)
-    else:
-        env["REPRO_KERNELS_DTYPE"] = dtype
+    env.update(extra_env or {})
     result = subprocess.run(
         [sys.executable, "-c", snippet, *argv],
         capture_output=True,
@@ -101,18 +97,35 @@ def test_fingerprints_and_matrix_digest_survive_interpreter_restart():
     assert first == second
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_fleet_digests_survive_interpreter_restart(tmp_path, dtype):
-    """A tiny sharded fleet, scored through the fused path under each
-    compute dtype, produces byte-identical digests across interpreters
-    with different hash seeds (the env var is the only way the dtype
-    reaches pool workers, so this also pins that plumbing)."""
-    cache = str(tmp_path / "cache")
-    first = _run_fresh_interpreter(
-        "0", snippet=SERVE_SNIPPET, argv=(cache,), dtype=dtype
+@pytest.fixture(scope="module")
+def fleet_cache(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("fleet-cache"))
+
+
+@pytest.fixture(scope="module")
+def fleet_run(fleet_cache) -> dict:
+    return _run_fresh_interpreter(
+        "0", snippet=SERVE_SNIPPET, argv=(fleet_cache,)
     )
+
+
+def test_fleet_digests_survive_interpreter_restart(fleet_run, fleet_cache):
+    """A tiny sharded fleet, scored through the fused path, produces
+    byte-identical digests across interpreters with different hash
+    seeds."""
     second = _run_fresh_interpreter(
-        "20260808", snippet=SERVE_SNIPPET, argv=(cache,), dtype=dtype
+        "20260808", snippet=SERVE_SNIPPET, argv=(fleet_cache,)
     )
-    assert first["kernels_dtype"] == dtype
-    assert first == second
+    assert fleet_run == second
+
+
+def test_stray_dtype_variable_cannot_move_digests(fleet_run, fleet_cache):
+    """Scoring has one dtype: a leftover deployment variable from the
+    float32 era must not change a single verdict."""
+    stray = _run_fresh_interpreter(
+        "0",
+        snippet=SERVE_SNIPPET,
+        argv=(fleet_cache,),
+        extra_env={"REPRO_KERNELS_DTYPE": "float32"},
+    )
+    assert stray == fleet_run

@@ -1,9 +1,58 @@
-"""Backend + dtype selection: env vars, overrides, scoping."""
+"""Backend selection: env var, overrides, scoping.
+
+The backend is resolved once per switch — from ``REPRO_KERNELS`` at
+the first kernel call — so every test that sets the environment
+variable runs in a fresh interpreter, where that first call is still
+ahead of it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import kernels
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Import, make one kernel call, report what it dispatched to (or the
+#: error it raised).  Importing must never read the env var.
+PROBE = """
+import json
+import numpy as np
+from repro import kernels
+
+try:
+    kernels.logsumexp(np.zeros((1, 2)))
+except kernels.KernelBackendError as exc:
+    print(json.dumps({"error": str(exc)}))
+else:
+    print(json.dumps({"backend": kernels.active_backend()}))
+"""
+
+
+def _fresh(env_value, snippet=PROBE) -> dict:
+    """Run ``snippet`` in a new interpreter with ``REPRO_KERNELS``
+    set to ``env_value`` (``None``: unset) and parse its JSON line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env.pop(kernels.ENV_VAR, None)
+    if env_value is not None:
+        env[kernels.ENV_VAR] = env_value
+    result = subprocess.run(
+        [sys.executable, "-c", snippet],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(REPO_ROOT),
+        timeout=120,
+        check=True,
+    )
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture(autouse=True)
@@ -11,8 +60,7 @@ def _clean_backend(monkeypatch):
     """Every test starts with no override and no env var, and leaks neither."""
     monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     monkeypatch.setattr(kernels, "_override", None)
-    monkeypatch.delenv(kernels.DTYPE_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels, "_dtype_override", None)
+    monkeypatch.setattr(kernels, "_active", None)
     yield
 
 
@@ -20,30 +68,47 @@ class TestSelection:
     def test_default_is_vectorized(self):
         assert kernels.DEFAULT_BACKEND == "vectorized"
         assert kernels.active_backend() == "vectorized"
+        assert _fresh(None) == {"backend": "vectorized"}
 
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "reference")
-        assert kernels.active_backend() == "reference"
+    def test_env_var_selects_reference(self):
+        assert _fresh("reference") == {"backend": "reference"}
 
-    def test_env_var_is_normalised(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "  Reference ")
-        assert kernels.active_backend() == "reference"
+    def test_env_var_is_normalised(self):
+        assert _fresh("  Reference ") == {"backend": "reference"}
 
-    def test_empty_env_var_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "")
-        assert kernels.active_backend() == kernels.DEFAULT_BACKEND
+    def test_empty_env_var_falls_back_to_default(self):
+        assert _fresh("") == {"backend": kernels.DEFAULT_BACKEND}
 
-    def test_invalid_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "simd")
-        with pytest.raises(kernels.KernelBackendError, match="simd"):
-            kernels.active_backend()
+    def test_invalid_env_var_raises(self):
+        """Raised at the first kernel call, not at ``import repro``."""
+        got = _fresh("simd")
+        with pytest.raises(kernels.KernelBackendError) as expected:
+            kernels.set_backend("simd")
+        assert got == {"error": str(expected.value)}
+        assert "'simd'" in got["error"]
 
-    def test_set_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "vectorized")
-        kernels.set_backend("reference")
-        assert kernels.active_backend() == "reference"
-        kernels.set_backend(None)
-        assert kernels.active_backend() == "vectorized"
+    def test_set_backend_beats_env(self):
+        snippet = """
+import json
+import os
+from repro import kernels
+
+seen = [kernels.active_backend()]
+os.environ[kernels.ENV_VAR] = "reference"
+seen.append(kernels.active_backend())  # resolved once: no re-read
+kernels.set_backend("reference")
+seen.append(kernels.active_backend())
+os.environ[kernels.ENV_VAR] = "vectorized"
+kernels.set_backend(None)  # clearing the override re-reads the env
+seen.append(kernels.active_backend())
+print(json.dumps(seen))
+"""
+        assert _fresh("vectorized", snippet) == [
+            "vectorized",
+            "vectorized",
+            "reference",
+            "vectorized",
+        ]
 
     def test_set_backend_rejects_unknown(self):
         with pytest.raises(kernels.KernelBackendError):
@@ -71,77 +136,6 @@ class TestSelection:
         assert kernels.backend_module("vectorized") is vectorized
         with kernels.use_backend("reference"):
             assert kernels.backend_module() is reference
-
-
-class TestDtypeSelection:
-    """The fused path's compute dtype mirrors the backend plumbing."""
-
-    def test_default_is_float64(self):
-        assert kernels.DEFAULT_DTYPE == "float64"
-        assert kernels.active_dtype() == "float64"
-
-    def test_env_var_selects_float32(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "float32")
-        assert kernels.active_dtype() == "float32"
-
-    def test_env_var_is_normalised(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "  Float32 ")
-        assert kernels.active_dtype() == "float32"
-
-    def test_empty_env_var_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "")
-        assert kernels.active_dtype() == kernels.DEFAULT_DTYPE
-
-    def test_invalid_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "bfloat16")
-        with pytest.raises(kernels.KernelBackendError, match="bfloat16"):
-            kernels.active_dtype()
-
-    def test_set_dtype_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "float64")
-        kernels.set_dtype("float32")
-        assert kernels.active_dtype() == "float32"
-        kernels.set_dtype(None)
-        assert kernels.active_dtype() == "float64"
-
-    def test_set_dtype_rejects_unknown(self):
-        with pytest.raises(kernels.KernelBackendError):
-            kernels.set_dtype("float16")
-
-    def test_use_dtype_restores_on_exit(self):
-        assert kernels.active_dtype() == "float64"
-        with kernels.use_dtype("float32"):
-            assert kernels.active_dtype() == "float32"
-            with kernels.use_dtype("float64"):
-                assert kernels.active_dtype() == "float64"
-            assert kernels.active_dtype() == "float32"
-        assert kernels.active_dtype() == "float64"
-
-    def test_use_dtype_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with kernels.use_dtype("float32"):
-                raise RuntimeError("boom")
-        assert kernels.active_dtype() == "float64"
-
-    def test_fused_call_honours_active_dtype(self):
-        """fleet_score_batch resolves the ambient dtype per call."""
-        rng = np.random.default_rng(0)
-        mean = rng.random(8)
-        basis, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        matrix = mean + rng.standard_normal((5, 8))
-        means = rng.standard_normal((2, 3))
-        chols = np.tile(np.eye(3), (2, 1, 1))
-        weights = np.array([0.5, 0.5])
-        f64 = kernels.fleet_score_batch(
-            matrix, mean, basis.T, weights, means, chols
-        )
-        with kernels.use_dtype("float32"):
-            f32 = kernels.fleet_score_batch(
-                matrix, mean, basis.T, weights, means, chols
-            )
-        assert not np.array_equal(f64.log_densities, f32.log_densities)
-        ulp = kernels.float32_ulp_error(f32.log_densities, f64.log_densities)
-        assert ulp.max() <= kernels.FLOAT32_ULP_BUDGET
 
 
 class TestDispatch:

@@ -6,8 +6,7 @@ executor reimplements the same data plane as bus subscribers.  This
 suite is the contract between them: for every configuration both
 support, the canonical fleet reports (per-device digest chains
 included) must be **bit-identical** — across executors, across shard
-counts, under fault plans, under either modality and either compute
-dtype.
+counts, under fault plans and under either modality.
 
 Cadence and recalibration runs have no lockstep twin (both are
 async-only features); for those the oracle degrades to async-internal
@@ -126,7 +125,7 @@ class TestFaultedIdentity:
             assert actual_skips == expected_skips
 
 
-class TestModalityAndDtypeIdentity:
+class TestModalityIdentity:
     @pytest.fixture(scope="class")
     def ensemble_config(self, base_config):
         return dataclasses.replace(
@@ -137,15 +136,6 @@ class TestModalityAndDtypeIdentity:
         lockstep = FleetService(ensemble_config).run()
         report = _run(ensemble_config, executor="async", shards=2)
         assert report.canonical_dict() == lockstep.canonical_dict()
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_dtypes_identical_across_executors(self, base_config, dtype):
-        lockstep = _run(base_config, kernels_dtype=dtype)
-        report = _run(
-            base_config, executor="async", shards=2, kernels_dtype=dtype
-        )
-        assert report.canonical_dict() == lockstep.canonical_dict()
-        assert report.kernels_dtype == dtype
 
 
 class TestCadences:

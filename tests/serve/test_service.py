@@ -186,6 +186,20 @@ class TestReportSchema:
         with pytest.raises(ValueError, match="schema"):
             FleetReport.from_dict(payload)
 
+    def test_legacy_float64_dtype_key_is_dropped(self, serial_report):
+        """Reports written while a float32 option existed still load."""
+        payload = serial_report.to_dict()
+        payload["kernels_dtype"] = "float64"
+        loaded = FleetReport.from_dict(payload)
+        assert loaded.to_dict() == serial_report.to_dict()
+
+    def test_legacy_float32_report_rejected(self, serial_report):
+        """Float32 digests never came from the shipped scoring path."""
+        payload = serial_report.to_dict()
+        payload["kernels_dtype"] = "float32"
+        with pytest.raises(ValueError, match="float32"):
+            FleetReport.from_dict(payload)
+
     def test_report_is_json_serializable(self, serial_report):
         json.dumps(serial_report.to_dict())
 

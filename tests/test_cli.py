@@ -609,6 +609,18 @@ class TestServeCommand:
         assert code == 2
         assert "invalid fleet report" in captured.err
 
+    def test_float32_fleet_report_is_usage_error(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(
+            json.dumps(
+                {"schema": 1, "device_reports": [], "kernels_dtype": "float32"}
+            )
+        )
+        code = main(["fleet-report", str(legacy)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "float32" in captured.err
+
 
 class TestServeAsyncCLI:
     """The async-executor flags added by the event-bus PR."""
